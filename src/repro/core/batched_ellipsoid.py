@@ -24,13 +24,13 @@ bit-exact golden tier.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cuts import _ALPHA_TOLERANCE, _DEGENERATE_GAIN
+from repro.core.cuts import _ALPHA_TOLERANCE, _DEGENERATE_GAIN, cut_trusted
+from repro.core.ellipsoid import Ellipsoid
 
 try:  # pragma: no cover - exercised only where torch is installed
     import torch
@@ -207,33 +207,50 @@ def batched_cut(
     collapse = ~noop & (alphas >= 1.0)
     regular = ~noop & ~collapse
 
-    new_centers = centers.copy()
-    new_shapes = shapes.copy()
     boundary = raw / roots[:, None]  # b = A x / sqrt(x^T A x)
-
-    if np.any(collapse):
-        idx = np.nonzero(collapse)[0]
-        new_centers[idx] = centers[idx] - signs[idx, None] * boundary[idx]
-        traces = np.trace(shapes[idx], axis1=1, axis2=2)
-        tiny = 1e-18 * traces / dimension
-        new_shapes[idx] = tiny[:, None, None] * np.eye(dimension)[None, :, :]
-
-    if np.any(regular):
-        idx = np.nonzero(regular)[0]
-        a = alphas[idx]
-        scale = dimension**2 * (1.0 - a**2) / (dimension**2 - 1.0)
-        rank_one = 2.0 * (1.0 + dimension * a) / ((dimension + 1.0) * (1.0 + a))
-        outer = boundary[idx, :, None] * boundary[idx, None, :]
-        shaped = scale[:, None, None] * (
-            shapes[idx] - rank_one[:, None, None] * outer
+    if regular.all():
+        # The common window: every item takes the regular formulas, so the
+        # update runs on the whole stack with no gather/scatter copies.
+        new_centers, new_shapes = _regular_cuts(
+            centers, shapes, boundary, alphas, signs, dimension
         )
-        new_shapes[idx] = 0.5 * (shaped + np.swapaxes(shaped, 1, 2))
-        step = ((1.0 + dimension * a) / (dimension + 1.0)) * signs[idx]
-        new_centers[idx] = centers[idx] - step[:, None] * boundary[idx]
+    else:
+        new_centers = centers.copy()
+        new_shapes = shapes.copy()
+        if np.any(collapse):
+            idx = np.nonzero(collapse)[0]
+            new_centers[idx] = centers[idx] - signs[idx, None] * boundary[idx]
+            traces = np.trace(shapes[idx], axis1=1, axis2=2)
+            tiny = 1e-18 * traces / dimension
+            new_shapes[idx] = tiny[:, None, None] * np.eye(dimension)[None, :, :]
+        if np.any(regular):
+            idx = np.nonzero(regular)[0]
+            new_centers[idx], new_shapes[idx] = _regular_cuts(
+                centers[idx], shapes[idx], boundary[idx], alphas[idx], signs[idx], dimension
+            )
 
     return BatchedCutResult(
         centers=new_centers, shapes=new_shapes, alphas=alphas, updated=~noop
     )
+
+
+def _regular_cuts(centers, shapes, boundary, alphas, signs, dimension):
+    """Deep/shallow-cut formulas for a stack of regular items.
+
+    The in-place scalings round exactly like the scalar-times-array
+    expressions they replace (IEEE products commute), and spare four
+    ``(k, n, n)`` temporaries per call.
+    """
+    scale = dimension**2 * (1.0 - alphas**2) / (dimension**2 - 1.0)
+    rank_one = 2.0 * (1.0 + dimension * alphas) / ((dimension + 1.0) * (1.0 + alphas))
+    shaped = boundary[:, :, None] * boundary[:, None, :]
+    shaped *= rank_one[:, None, None]
+    np.subtract(shapes, shaped, out=shaped)
+    shaped *= scale[:, None, None]
+    symmetric = shaped + np.swapaxes(shaped, 1, 2)
+    symmetric *= 0.5
+    step = ((1.0 + dimension * alphas) / (dimension + 1.0)) * signs
+    return centers - step[:, None] * boundary, symmetric
 
 
 def single_cut(
@@ -245,29 +262,24 @@ def single_cut(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Scalar twin of :func:`batched_cut` for the engine's k=1 hot path.
 
-    Returns ``(new_center, new_shape)`` (fresh arrays, re-symmetrised) when
-    the cut changes the ellipsoid, or ``None`` for every no-op outcome —
-    degenerate direction, shallow-cut no-op, inconsistent skip.  Inputs must
-    already be float arrays of matching dimension; nothing is validated.
+    A thin wrapper over the scalar cut kernel
+    :func:`~repro.core.cuts.cut_trusted` under ``on_infeasible='skip'``, so
+    the cut rule exists once.  Returns ``(new_center, new_shape)`` (fresh
+    arrays, re-symmetrised) when the cut changes the ellipsoid, or ``None``
+    for every no-op outcome — degenerate direction, shallow-cut no-op,
+    inconsistent skip.  Inputs must already be float arrays of matching
+    dimension with an exactly symmetric ``shape``.
     """
-    dimension = center.shape[0]
-    raw = shape @ direction  # A x
-    gain = float(raw @ direction)  # x^T A x
-    if not gain >= _DEGENERATE_GAIN:
+    result = cut_trusted(
+        Ellipsoid.from_trusted(center, shape),
+        direction,
+        float(offset),
+        "leq" if sign > 0 else "geq",
+        "skip",
+    )
+    if not result.updated:
         return None
-    root = math.sqrt(gain)
-    alpha = sign * (float(direction @ center) - offset) / root
-    if alpha < -1.0 / dimension - _ALPHA_TOLERANCE or alpha > 1.0 + _ALPHA_TOLERANCE:
-        return None
-    boundary = raw / root
-    if alpha >= 1.0:
-        tiny = 1e-18 * float(np.trace(shape)) / dimension
-        return center - sign * boundary, tiny * np.eye(dimension)
-    scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
-    rank_one = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
-    shaped = scale * (shape - rank_one * np.outer(boundary, boundary))
-    step = ((1.0 + dimension * alpha) / (dimension + 1.0)) * sign
-    return center - step * boundary, 0.5 * (shaped + shaped.T)
+    return result.ellipsoid.center, result.ellipsoid.shape
 
 
 # --------------------------------------------------------------------------- #

@@ -90,20 +90,22 @@ def cut_position(ellipsoid: Ellipsoid, direction, offset: float, keep: str) -> f
     """
     direction = ensure_vector(direction, dimension=ellipsoid.dimension, name="direction")
     offset = ensure_finite_scalar(offset, name="offset")
-    gain = ellipsoid.direction_gain(direction)
+    gain = float(direction @ ellipsoid.shape @ direction)
     if not gain >= _DEGENERATE_GAIN:
-        # ``not >=`` also catches NaN.  A denormal positive gain would pass a
-        # plain ``> 0`` check and then overflow ``1 / sqrt(gain)``, emitting
-        # garbage or NaN cut parameters downstream.
         raise InvalidCutError(
             "cut direction has a degenerate support width (x^T A x = %g)" % gain
         )
-    signed = (float(direction @ ellipsoid.center) - offset) / math.sqrt(gain)
-    if keep == "leq":
-        return signed
-    if keep == "geq":
-        return -signed
-    raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
+    if keep not in ("leq", "geq"):
+        raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
+    return _position(ellipsoid, direction, offset, keep, math.sqrt(gain))
+
+
+def _position(
+    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, keep: str, root: float
+) -> float:
+    """``α`` given ``root = sqrt(x^T A x)``; the one copy of the formula."""
+    signed = (float(direction @ ellipsoid.center) - offset) / root
+    return signed if keep == "leq" else -signed
 
 
 def loewner_john_cut(
@@ -141,8 +143,8 @@ def loewner_john_cut(
         classification.
     """
     direction = ensure_vector(direction, dimension=ellipsoid.dimension, name="direction")
-    dimension = ellipsoid.dimension
-    if dimension < 2:
+    offset = ensure_finite_scalar(offset, name="offset")
+    if ellipsoid.dimension < 2:
         raise InvalidCutError(
             "Löwner–John updates require dimension >= 2; use IntervalKnowledge for n = 1"
         )
@@ -150,12 +152,28 @@ def loewner_john_cut(
         raise ValueError("on_infeasible must be 'raise', 'skip', or 'clamp', got %r" % on_infeasible)
     if keep not in ("leq", "geq"):
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
-    gain = ellipsoid.direction_gain(direction)
+    return cut_trusted(ellipsoid, direction, offset, keep, on_infeasible)
+
+
+def cut_trusted(
+    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, keep: str, on_infeasible: str
+) -> CutResult:
+    """The cut kernel behind :func:`loewner_john_cut`, without input validation.
+
+    The caller guarantees a finite float ``direction`` of the ellipsoid's
+    dimension (``>= 2``), a finite ``offset`` and legal ``keep`` /
+    ``on_infeasible`` values.  ``x^T A x`` and ``A x`` are computed once each.
+    The expression order is the bit-exact contract: ``gain = x @ A @ x``
+    (never ``(A @ x) @ x``), ``α = (x·c - offset) / sqrt(gain)`` and
+    ``b = (A @ x) / sqrt(gain)``.
+    """
+    gain = float(direction @ ellipsoid.shape @ direction)
     if not gain >= _DEGENERATE_GAIN:
-        # Degenerate direction: zero, denormal, or NaN support width.  The
-        # ellipsoid carries no information along such a direction, so in the
-        # non-raising modes the cut is a no-op rather than a division by ~0
-        # that would emit NaN cut parameters.
+        # Degenerate direction: zero, denormal, or NaN support width.  ``not
+        # >=`` also catches NaN, and a denormal positive gain would overflow
+        # ``1 / sqrt(gain)``.  The ellipsoid carries no information along
+        # such a direction, so in the non-raising modes the cut is a no-op
+        # rather than a division by ~0 that would emit NaN cut parameters.
         if on_infeasible == "raise":
             raise InvalidCutError(
                 "cut direction has a degenerate support width (x^T A x = %g)" % gain
@@ -163,7 +181,8 @@ def loewner_john_cut(
         return CutResult(
             ellipsoid=ellipsoid, alpha=float("nan"), kind=CutKind.NOOP, updated=False
         )
-    alpha = cut_position(ellipsoid, direction, offset, keep)
+    root = math.sqrt(gain)
+    alpha = _position(ellipsoid, direction, offset, keep, root)
 
     if alpha > 1.0 + _ALPHA_TOLERANCE:
         if on_infeasible == "raise":
@@ -174,12 +193,12 @@ def loewner_john_cut(
             return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=CutKind.NOOP, updated=False)
         alpha = 1.0
 
-    kind = classify_alpha(alpha, dimension)
+    kind = classify_alpha(alpha, ellipsoid.dimension)
     if kind is CutKind.NOOP:
         return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=kind, updated=False)
 
     sign = 1.0 if keep == "leq" else -1.0
-    boundary = ellipsoid.boundary_vector(direction)
+    boundary = (ellipsoid.shape @ direction) / root
     updated = _apply_cut_formulas(ellipsoid, boundary, alpha, sign)
     return CutResult(ellipsoid=updated, alpha=alpha, kind=kind, updated=True)
 
@@ -200,15 +219,21 @@ def _apply_cut_formulas(
         # so downstream linear algebra keeps working.
         new_center = ellipsoid.center - sign * boundary
         tiny = 1e-18 * np.trace(ellipsoid.shape) / dimension
-        new_shape = tiny * np.eye(dimension)
-        return Ellipsoid(new_center, new_shape, validate=False)
+        return Ellipsoid.from_trusted(new_center, tiny * np.eye(dimension))
 
     scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
     rank_one_coefficient = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
-    new_shape = scale * (ellipsoid.shape - rank_one_coefficient * np.outer(boundary, boundary))
+    # scale * (A - r * b b^T), symmetrised once.  The in-place scalings round
+    # exactly like the scalar-times-array expressions (IEEE products commute)
+    # and save three n x n temporaries per cut.
+    rank_one = boundary[:, None] * boundary  # np.outer without its wrapper
+    rank_one *= rank_one_coefficient
+    new_shape = ellipsoid.shape - rank_one
+    new_shape *= scale
+    symmetric = new_shape + new_shape.T
+    symmetric *= 0.5
     new_center = ellipsoid.center - sign * ((1.0 + dimension * alpha) / (dimension + 1.0)) * boundary
-    new_shape = 0.5 * (new_shape + new_shape.T)
-    return Ellipsoid(new_center, new_shape, validate=False)
+    return Ellipsoid.from_trusted(new_center, symmetric)
 
 
 def volume_ratio_upper_bound(alpha: float, dimension: int) -> float:

@@ -73,11 +73,22 @@ class Ellipsoid:
     @classmethod
     def ball(cls, dimension: int, radius: float, center=None) -> "Ellipsoid":
         """A ball of the given ``radius``; the paper's initial knowledge set ``E_1``."""
-        if radius <= 0:
-            raise ValueError("radius must be positive, got %g" % radius)
+        if not radius > 0 or not math.isfinite(radius):
+            raise ValueError("radius must be finite and positive, got %g" % radius)
+        if dimension < 1:
+            raise ValueError("dimension must be positive, got %d" % dimension)
         if center is None:
             center = np.zeros(dimension)
-        return cls(center, (radius**2) * np.eye(dimension))
+        else:
+            center = ensure_vector(center, dimension=dimension, name="center")
+        # ``radius² I`` is positive definite by construction, so the
+        # eigenvalue check of ``__init__`` reduces to its scalar form here.
+        squared = radius**2
+        if not squared > _PD_TOLERANCE * max(1.0, squared):
+            raise NotPositiveDefiniteError(
+                "shape matrix is not positive definite (min eigenvalue %g)" % squared
+            )
+        return cls.from_trusted(center, squared * np.eye(dimension))
 
     @classmethod
     def enclosing_box(cls, lower, upper) -> "Ellipsoid":
@@ -95,6 +106,22 @@ class Ellipsoid:
         if radius == 0.0:
             raise ValueError("box must have at least one non-zero corner")
         return cls.ball(lower.shape[0], radius)
+
+    @classmethod
+    def from_trusted(cls, center: np.ndarray, shape: np.ndarray) -> "Ellipsoid":
+        """Wrap kernel-built arrays without revalidating them.
+
+        The caller guarantees float arrays of matching dimension and an
+        exactly symmetric ``shape`` (the cut kernel symmetrises once); the
+        arrays are stored as given.  One finite check remains, so an update
+        that overflows is refused instead of stored.
+        """
+        if not (np.isfinite(center).all() and np.isfinite(shape).all()):
+            raise ValueError("ellipsoid contains non-finite entries")
+        ellipsoid = cls.__new__(cls)
+        ellipsoid.center = center
+        ellipsoid.shape = shape
+        return ellipsoid
 
     def copy(self) -> "Ellipsoid":
         """An independent copy of this ellipsoid."""
@@ -169,7 +196,7 @@ class Ellipsoid:
     def boundary_vector(self, direction) -> np.ndarray:
         """The vector ``b = A x / sqrt(x^T A x)`` used in Algorithms 1 and 2."""
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        gain = self.direction_gain(direction)
+        gain = float(direction @ self.shape @ direction)
         if not gain >= _DEGENERATE_GAIN:
             raise ValueError(
                 "direction must have a non-degenerate support width (x^T A x = %g)" % gain
@@ -183,7 +210,12 @@ class Ellipsoid:
         ``p̲_t = x^T (c - b)`` and ``p̄_t = x^T (c + b)``.
         """
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        gain = self.direction_gain(direction)
+        return self.support_interval_trusted(direction)
+
+    def support_interval_trusted(self, direction: np.ndarray) -> Tuple[float, float]:
+        """:meth:`support_interval` for a direction already known to be a
+        finite float vector of the right dimension (no validation)."""
+        gain = float(direction @ self.shape @ direction)
         if not gain >= _DEGENERATE_GAIN:
             # Numerical noise can produce a tiny negative value for a PSD
             # matrix, and a zero/denormal direction a degenerate width; both

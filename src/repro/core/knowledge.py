@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cuts import CutKind, CutResult, loewner_john_cut
+from repro.core.cuts import CutKind, CutResult, cut_trusted, loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid
 from repro.exceptions import DimensionMismatchError
 from repro.utils.validation import ensure_finite_scalar, ensure_vector
@@ -75,6 +75,17 @@ class KnowledgeSet(abc.ABC):
                 "cannot load %r knowledge state into %s (expected kind %r)"
                 % (found, type(self).__name__, kind)
             )
+
+    def value_bounds_trusted(self, direction: np.ndarray) -> Tuple[float, float]:
+        """:meth:`value_bounds` for a direction the caller has already checked
+        (finite float vector of the right dimension).  Representations with a
+        cheaper unchecked path override this; the default validates anyway."""
+        return self.value_bounds(direction)
+
+    def cut_trusted(self, direction: np.ndarray, offset: float, keep: str) -> bool:
+        """:meth:`cut` for already-checked inputs (finite direction of the right
+        dimension, finite offset, legal ``keep``); same default as above."""
+        return self.cut(direction, offset, keep)
 
     def width_along(self, direction) -> float:
         """Width of the knowledge set along ``direction`` (``p̄ - p̲``)."""
@@ -187,8 +198,18 @@ class EllipsoidKnowledge(KnowledgeSet):
     def value_bounds(self, direction) -> Tuple[float, float]:
         return self.ellipsoid.support_interval(direction)
 
+    def value_bounds_trusted(self, direction: np.ndarray) -> Tuple[float, float]:
+        return self.ellipsoid.support_interval_trusted(direction)
+
     def cut(self, direction, offset: float, keep: str, on_infeasible: str = "skip") -> bool:
-        result = loewner_john_cut(self.ellipsoid, direction, offset, keep, on_infeasible=on_infeasible)
+        return self._commit(
+            loewner_john_cut(self.ellipsoid, direction, offset, keep, on_infeasible=on_infeasible)
+        )
+
+    def cut_trusted(self, direction: np.ndarray, offset: float, keep: str) -> bool:
+        return self._commit(cut_trusted(self.ellipsoid, direction, offset, keep, "skip"))
+
+    def _commit(self, result: CutResult) -> bool:
         self.last_cut = result
         if result.updated:
             self.ellipsoid = result.ellipsoid

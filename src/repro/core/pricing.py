@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.base import KnowledgePricerStateMixin, PostedPriceMechanism, PricingDecision
-from repro.core.ellipsoid import _DEGENERATE_GAIN, Ellipsoid
 from repro.core.knowledge import EllipsoidKnowledge, KnowledgeSet, PolytopeKnowledge
 from repro.utils.validation import ensure_finite_scalar, ensure_positive, ensure_vector
 
@@ -159,7 +158,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         """Lines 2–13 / 22–27 of Algorithms 1 and 2: choose the posted price."""
         features = ensure_vector(features, dimension=self.config.dimension, name="features")
         effective_reserve = self._effective_reserve(reserve)
-        lower, upper = self.knowledge.value_bounds(features)
+        lower, upper = self.knowledge.value_bounds_trusted(features)
         delta = self.config.delta
 
         if effective_reserve >= upper + delta:
@@ -259,7 +258,11 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         if backend not in (None, "reference"):
             return self._run_batch_backend(model, materialized, transcript, backend)
         knowledge = self.knowledge
-        fast_ellipsoid = isinstance(knowledge, EllipsoidKnowledge)
+        # Every row passed the ``np.isfinite`` check above, so the loop calls
+        # the knowledge set's unchecked support-interval and cut kernels —
+        # the very expressions ``propose``/``update`` run after validating.
+        value_bounds = knowledge.value_bounds_trusted
+        cut = knowledge.cut_trusted
         use_reserve = config.use_reserve
         delta = config.delta
         epsilon = config.epsilon
@@ -273,27 +276,12 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         sold_column = transcript.sold
         skipped_column = transcript.skipped
         exploratory_column = transcript.exploratory
-        sqrt = math.sqrt
         isnan = math.isnan
         rounds = features.shape[0]
         skipped_rounds = exploratory_rounds = conservative_rounds = cuts_applied = 0
-        if fast_ellipsoid:
-            ellipsoid = knowledge.ellipsoid
-            shape, center = ellipsoid.shape, ellipsoid.center
         for index in range(rounds):
             x = features[index]
-            if fast_ellipsoid:
-                # Inlined Ellipsoid.support_interval (same expressions,
-                # including the degenerate-gain clamp).
-                gain = float(x @ shape @ x)
-                if not gain >= _DEGENERATE_GAIN:
-                    gain = 0.0
-                half_width = sqrt(gain)
-                middle = float(x @ center)
-                lower = middle - half_width
-                upper = middle + half_width
-            else:
-                lower, upper = knowledge.value_bounds(x)
+            lower, upper = value_bounds(x)
             if use_reserve:
                 reserve = link_reserves[index]
                 effective_reserve = _NEGATIVE_INFINITY if isnan(reserve) else reserve
@@ -320,14 +308,11 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             exploratory_column[index] = exploratory
             if (exploratory or allow_conservative_cuts) and width > 1e-12:
                 if accepted:
-                    changed = knowledge.cut(x, price - delta, keep="geq")
+                    changed = cut(x, float(price - delta), "geq")
                 else:
-                    changed = knowledge.cut(x, price + delta, keep="leq")
+                    changed = cut(x, float(price + delta), "leq")
                 if changed:
                     cuts_applied += 1
-                    if fast_ellipsoid:
-                        ellipsoid = knowledge.ellipsoid
-                        shape, center = ellipsoid.shape, ellipsoid.center
         self.skipped_rounds += skipped_rounds
         self.exploratory_rounds += exploratory_rounds
         self.conservative_rounds += conservative_rounds
@@ -430,8 +415,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
                     ellipsoid.center, ellipsoid.shape, block[j], cut_offset, sign
                 )
                 if updated is not None:
-                    # The kernel re-symmetrises and returns fresh arrays, so
-                    # the in-place swap skips Ellipsoid.__init__ revalidation.
+                    # The backend returns fresh, re-symmetrised arrays.
                     ellipsoid.center, ellipsoid.shape = updated
                     knowledge.cut_count += 1
                     cuts_applied += 1
@@ -471,7 +455,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     def value_bounds(self, features) -> Tuple[float, float]:
         """Current bounds on the link-space market value for ``features``."""
         features = ensure_vector(features, dimension=self.config.dimension, name="features")
-        return self.knowledge.value_bounds(features)
+        return self.knowledge.value_bounds_trusted(features)
 
     def state_arrays(self) -> Tuple[np.ndarray, ...]:
         return self.knowledge.state_arrays()

@@ -156,10 +156,6 @@ class PricerRegistry:
         """Record ``count`` applied feedback updates (write-behind cadence)."""
         self.store.note_feedback(session, count)
 
-    def mark_stale(self, session: PricingSession) -> None:
-        """Flag that the session's pricer mutated outside the row data path."""
-        self.store.mark_stale(session)
-
     def flush(self) -> int:
         """Persist every resident session; returns the number written."""
         return self.store.flush()
@@ -184,11 +180,9 @@ class PricerRegistry:
         """Contiguous struct-of-arrays slices of same-family sessions."""
         return self.store.materialize_rows(keys, refresh=refresh)
 
-    def scatter_rows(
-        self, materialized: MaterializedRows, update_pricers: bool = True
-    ) -> int:
+    def scatter_rows(self, materialized: MaterializedRows) -> int:
         """Write materialized slices back into slab rows and live pricers."""
-        return self.store.scatter_rows(materialized, update_pricers=update_pricers)
+        return self.store.scatter_rows(materialized)
 
     def close(self) -> None:
         self.store.close()

@@ -37,7 +37,6 @@ includes queueing delay inside the window) and aggregated by the shared
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
@@ -118,8 +117,6 @@ class _BatchedCutEntry:
     session: PricingSession
     pricer: EllipsoidPricer
     group_size: int
-    decision: object
-    accepted: bool
     direction: np.ndarray
     offset: float
     sign: float
@@ -322,9 +319,7 @@ class QuoteService:
         """Apply one accept/reject outcome to its session's pricer."""
         session = self._session_for_feedback(event.key)
         decision = self._settle(session, event)
-        cuts_before = getattr(session.pricer, "cuts_applied", None)
         session.pricer.update(decision, event.accepted)
-        self._note_scalar_update(session, cuts_before)
         self.registry.note_feedback(session)
         self.stats.feedback_applied += 1
 
@@ -371,7 +366,6 @@ class QuoteService:
                 pricer.update_batch(
                     batch, np.array([event.accepted for event in group], dtype=bool)
                 )
-                self.registry.mark_stale(session)
                 self.registry.note_feedback(session, count=len(group))
                 self.stats.feedback_applied += len(group)
                 continue
@@ -379,11 +373,9 @@ class QuoteService:
             if entry is not None:
                 deferred.append(entry)
                 continue
-            cuts_before = getattr(pricer, "cuts_applied", None)
             for event in group:
                 decision = self._settle(session, event)
                 pricer.update(decision, event.accepted)
-            self._note_scalar_update(session, cuts_before)
             self.registry.note_feedback(session, count=len(group))
             self.stats.feedback_applied += len(group)
         if deferred:
@@ -419,28 +411,17 @@ class QuoteService:
     # Cross-session batched feedback (relaxed tier)
     # ------------------------------------------------------------------ #
 
-    def _note_scalar_update(self, session, cuts_before) -> None:
-        """Flag the slab row stale when a scalar update changed pricer state.
-
-        Ellipsoid-family pricers expose ``cuts_applied`` — geometry changes
-        iff the counter moved, so no-op feedback stays cheap.  Pricers
-        without the counter (SGD and friends) mutate on every update; their
-        rows are flagged unconditionally.
-        """
-        if cuts_before is None or getattr(session.pricer, "cuts_applied", None) != cuts_before:
-            self.registry.mark_stale(session)
-
     def _defer_for_batched_cut(self, session, group) -> Optional["_BatchedCutEntry"]:
         """Settle one window group for the stacked update, if eligible.
 
         Eligible means: a relaxed-tier backend is configured, the session's
         pricer is an :class:`EllipsoidPricer` over ellipsoid knowledge, the
-        group covers *all* of the session's in-flight quotes (so pending is
-        empty after settling — the :meth:`scatter_rows` precondition), and
-        exactly one event requires a cut.  Zero-cut groups gain nothing from
-        the kernel and multi-cut groups are order-dependent within the
-        session; both run the reference loop.  Returns ``None`` (nothing
-        settled) when ineligible.
+        group covers *all* of the session's in-flight quotes (pending is
+        empty after settling, so no later feedback of this session is left
+        in flight across the stacked update), and exactly one event requires
+        a cut.  Zero-cut groups gain nothing from the kernel and multi-cut
+        groups are order-dependent within the session; both run the
+        reference loop.  Returns ``None`` (nothing settled) when ineligible.
         """
         if self._math_backend is None:
             return None
@@ -474,8 +455,6 @@ class QuoteService:
             session=session,
             pricer=pricer,
             group_size=len(group),
-            decision=cut_decision,
-            accepted=cut_event.accepted,
             direction=np.asarray(cut_decision.features, dtype=float),
             offset=float(offset),
             sign=sign,
@@ -486,72 +465,39 @@ class QuoteService:
         """One stacked Löwner–John update per pricer family.
 
         Each entry is one session with exactly one settled cut-requiring
-        outcome.  Per family: gather the sessions' slab rows
-        (``materialize_rows(refresh="stale")`` — only rows diverged by a
-        scalar update pay the state round-trip), run the backend's stacked
-        kernel over all of them at once, propagate each updated item's new
-        geometry and cut counters onto its live pricer directly, and write
-        the rows back through ``scatter_rows(update_pricers=False)`` (slab
-        only — the live objects are already current), patching the updated
-        skeletons' cut counters on the way.  If a family's slab rows don't
-        have the expected ``(k, n)`` / ``(k, n, n)`` layout the family falls
-        back to per-session scalar updates.
+        outcome.  Per family: stack the live pricers' centers and shapes,
+        run the backend's stacked kernel over all of them at once, and
+        write each updated item's new geometry and cut counters straight
+        back onto its live pricer.  The live pricer is the session's state;
+        as after a scalar update, its slab row is re-captured at the next
+        persist or ``materialize_rows``.
         """
         families: "OrderedDict" = OrderedDict()
         for entry in entries:
             families.setdefault(entry.family, []).append(entry)
         for family_entries in families.values():
-            keys = [entry.session.key for entry in family_entries]
-            dimension = family_entries[0].pricer.config.dimension
-            count = len(family_entries)
-            rows = self.materialize_rows(keys, refresh="stale")
-            if (
-                len(rows.arrays) != 2
-                or rows.arrays[0].shape != (count, dimension)
-                or rows.arrays[1].shape != (count, dimension, dimension)
-            ):
-                self._scalar_cut_fallback(family_entries)
-                continue
-            directions = np.stack([entry.direction for entry in family_entries])
-            offsets = np.array([entry.offset for entry in family_entries])
-            signs = np.array([entry.sign for entry in family_entries])
+            ellipsoids = [entry.pricer.knowledge.ellipsoid for entry in family_entries]
             result = self._math_backend.batched_cut(
-                rows.arrays[0], rows.arrays[1], directions, offsets, signs
+                np.stack([ellipsoid.center for ellipsoid in ellipsoids]),
+                np.stack([ellipsoid.shape for ellipsoid in ellipsoids]),
+                np.stack([entry.direction for entry in family_entries]),
+                np.array([entry.offset for entry in family_entries]),
+                np.array([entry.sign for entry in family_entries]),
             )
-            rows.arrays[0][...] = result.centers
-            rows.arrays[1][...] = result.shapes
             for position in np.flatnonzero(result.updated):
-                skeleton = json.loads(rows.skeletons[position])
-                skeleton["cuts_applied"] += 1
-                skeleton["knowledge"]["cut_count"] += 1
-                rows.skeletons[position] = json.dumps(
-                    skeleton, separators=(",", ":")
-                )
-                pricer = family_entries[position].pricer
-                ellipsoid = pricer.knowledge.ellipsoid
+                entry = family_entries[position]
+                ellipsoid = ellipsoids[position]
                 # The kernel re-symmetrised these rows; copies detach them
                 # from the stacked result buffer.
                 ellipsoid.center = result.centers[position].copy()
                 ellipsoid.shape = result.shapes[position].copy()
-                pricer.knowledge.cut_count += 1
-                pricer.cuts_applied += 1
-            self.scatter_rows(rows, update_pricers=False)
+                entry.pricer.knowledge.cut_count += 1
+                entry.pricer.cuts_applied += 1
             self.stats.batched_updates += 1
-            self.stats.batched_update_sessions += count
-            # Write-behind accounting runs after the scatter, so a persist
-            # triggered here snapshots the post-cut state.
+            self.stats.batched_update_sessions += len(family_entries)
             for entry in family_entries:
                 self.registry.note_feedback(entry.session, count=entry.group_size)
                 self.stats.feedback_applied += entry.group_size
-
-    def _scalar_cut_fallback(self, family_entries: List["_BatchedCutEntry"]) -> None:
-        """Reference-path updates for already-settled deferred entries."""
-        for entry in family_entries:
-            cuts_before = getattr(entry.pricer, "cuts_applied", None)
-            entry.pricer.update(entry.decision, entry.accepted)
-            self._note_scalar_update(entry.session, cuts_before)
-            self.registry.note_feedback(entry.session, count=entry.group_size)
-            self.stats.feedback_applied += entry.group_size
 
     # ------------------------------------------------------------------ #
     # Contiguous row slices
@@ -571,15 +517,13 @@ class QuoteService:
         """
         return self.registry.materialize_rows(keys, refresh=refresh)
 
-    def scatter_rows(self, materialized, update_pricers: bool = True) -> int:
+    def scatter_rows(self, materialized) -> int:
         """Write materialized slices back into slab rows and live pricers.
 
         Refuses sessions that picked up in-flight quotes since
         :meth:`materialize_rows`: their pending decisions were priced on
         the pre-batch state, and overwriting it would settle their feedback
-        against state they never saw.  ``update_pricers=False`` writes slab
-        rows only (the caller already propagated results onto the live
-        pricers).
+        against state they never saw.
         """
         for key in materialized.keys:
             session = self.registry.peek(key)
@@ -589,7 +533,7 @@ class QuoteService:
                     "quote(s); settle their feedback first"
                     % (key, len(session.pending))
                 )
-        return self.registry.scatter_rows(materialized, update_pricers=update_pricers)
+        return self.registry.scatter_rows(materialized)
 
     def _session_for_feedback(self, key) -> PricingSession:
         """Resolve a feedback target without creating (or LRU-thrashing) it.

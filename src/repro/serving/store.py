@@ -686,11 +686,6 @@ class _ResidentRow:
     slab_row: int = -1
     #: Second-chance bit: set on access, cleared by the passing clock hand.
     referenced: bool = False
-    #: The live pricer's *array* state diverged from the slab copy (a scalar
-    #: update ran outside the row data path).  Set via :meth:`mark_stale`,
-    #: cleared by every capture; lets ``materialize_rows(refresh="stale")``
-    #: skip the state round-trip for rows that are already in sync.
-    stale: bool = False
 
 
 class SessionStore:
@@ -883,20 +878,7 @@ class SessionStore:
         self._slabs[row.family].put(
             row.slab_row, arrays, json.dumps(skeleton, separators=(",", ":"))
         )
-        row.stale = False
         return skeleton, arrays
-
-    def mark_stale(self, session: PricingSession) -> None:
-        """Flag that ``session``'s pricer mutated outside the row data path.
-
-        Scalar feedback updates change the live pricer without touching its
-        slab row; marking the row lets ``materialize_rows(refresh="stale")``
-        re-capture exactly the diverged sessions instead of all of them.
-        No-op for non-resident sessions and pricers without a slab row.
-        """
-        slot = self._index.get(session.key)
-        if slot is not None:
-            self._ring[slot].stale = True
 
     def _drop(self, key: SessionKey) -> None:
         slot = self._index.pop(key)
@@ -1154,11 +1136,8 @@ class SessionStore:
         With ``refresh=True`` (the default) each session's live pricer state
         is re-captured into its slab row first, so the returned slices are
         current; ``refresh=False`` returns the state as of the last capture
-        (admission or persist).  ``refresh="stale"`` re-captures only the
-        rows flagged by :meth:`mark_stale` — the cheap middle ground for
-        callers (the quote service's stacked feedback path) that flag every
-        out-of-band mutation themselves.  All keys must be resident and
-        share one family — mixing families has no contiguous representation.
+        (admission or persist).  All keys must be resident and share one
+        family — mixing families has no contiguous representation.
         """
         rows: List[_ResidentRow] = []
         for key in keys:
@@ -1171,17 +1150,12 @@ class SessionStore:
         if not rows:
             raise ServingError("materialize_rows needs at least one session key")
         if refresh:
-            captured = 0
             for row in rows:
-                if refresh == "stale" and not row.stale:
-                    continue
                 self._capture(row, row.session.pricer.state_dict())
-                captured += 1
             # A re-capture can migrate a row to a different family slab
             # (state layout changed since the last capture), which moves
             # row-bytes between slabs — keep resident_bytes honest.
-            if captured:
-                self._refresh_gauges()
+            self._refresh_gauges()
         family = rows[0].family
         if family is None:
             raise ServingError(
@@ -1204,9 +1178,7 @@ class SessionStore:
             family=family, keys=list(keys), arrays=arrays, skeletons=skeletons
         )
 
-    def scatter_rows(
-        self, materialized: MaterializedRows, update_pricers: bool = True
-    ) -> int:
+    def scatter_rows(self, materialized: MaterializedRows) -> int:
         """Write materialized slices back: slab rows *and* live pricers.
 
         The inverse of :meth:`materialize_rows` after a batched engine step
@@ -1214,12 +1186,6 @@ class SessionStore:
         scalars are re-attached unchanged — the batched window must not
         have advanced round counters through the object protocol in
         between.  Returns the number of sessions updated.
-
-        ``update_pricers=False`` writes only the slab rows and skips the
-        per-session ``load_state`` rebuild — for callers that already
-        propagated the results onto the live pricers directly (the quote
-        service's stacked feedback path, which knows exactly which leaves
-        the kernel touched).
         """
         slab = self._slabs.get(materialized.family)
         if slab is None:
@@ -1239,11 +1205,10 @@ class SessionStore:
                 )
             arrays = [column[position] for column in materialized.arrays]
             slab.put(row.slab_row, arrays, materialized.skeletons[position])
-            if update_pricers:
-                state = checkpoint_store.unflatten_state(
-                    json.loads(materialized.skeletons[position]), arrays
-                )
-                row.session.pricer.load_state(state)
+            state = checkpoint_store.unflatten_state(
+                json.loads(materialized.skeletons[position]), arrays
+            )
+            row.session.pricer.load_state(state)
         return len(materialized.keys)
 
     # ------------------------------------------------------------------ #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ def ensure_vector(value: ArrayLike, dimension: int = None, name: str = "vector")
 def ensure_finite_array(value: ArrayLike, name: str = "array") -> np.ndarray:
     """Check that every entry of ``value`` is finite and return it as an array."""
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("%s contains non-finite entries" % name)
     return arr
 
@@ -37,7 +38,7 @@ def ensure_finite_array(value: ArrayLike, name: str = "array") -> np.ndarray:
 def ensure_finite_scalar(value: float, name: str = "value") -> float:
     """Check that ``value`` is a finite scalar and return it as ``float``."""
     scalar = float(value)
-    if not np.isfinite(scalar):
+    if not math.isfinite(scalar):
         raise ValueError("%s must be finite, got %r" % (name, value))
     return scalar
 
@@ -63,7 +64,7 @@ def ensure_probability(value: float, name: str = "probability") -> float:
 def ensure_price(value: float, name: str = "price") -> float:
     """Check that a price is finite and non-negative."""
     scalar = float(value)
-    if not np.isfinite(scalar) or scalar < 0:
+    if not math.isfinite(scalar) or scalar < 0:
         raise InvalidPriceError("%s must be a finite non-negative number, got %r" % (name, value))
     return scalar
 
